@@ -13,7 +13,7 @@
 //  - table section: base invocations per operation (the model-level cost
 //    the constructions are compared by) and a failure-survival check —
 //    after crashing a full budget of t bases mid-run, the stress history
-//    must still be atomic.
+//    must still be atomic; the binary exits 1 if any history is not.
 //
 // Expected shape: per-op base cost is (t+1) for the stack construction vs
 // 2*(2t+1) for a majority read (two quorum phases) — the price of
@@ -129,10 +129,12 @@ void printCostTable() {
   std::printf("%s", T.render().c_str());
 }
 
-void printSurvivalTable() {
+/// Prints the survival table; returns false if any history is not atomic.
+bool printSurvivalTable() {
   std::printf("\nE6 failure survival: full crash budget injected mid-run\n");
   Table T;
   T.setHeader({"construction", "t", "crashes", "history-ops", "atomic"});
+  bool AllAtomic = true;
   for (size_t Tol : {1, 2, 4}) {
     {
       StackRegister R(Tol);
@@ -144,6 +146,7 @@ void printSurvivalTable() {
         Opt.InjectBeforeWrite[30 * (K + 1)] = [&R, K] { R.base(K).crash(); };
       History H = stressRegister(R, Opt);
       Status S = checkSwmrAtomicity(H);
+      AllAtomic &= S.ok();
       T.addRow({"stack (responsive)", format("%zu", Tol),
                 format("%zu", Tol), format("%zu", H.Ops.size()),
                 S.ok() ? "yes" : S.error().str()});
@@ -158,12 +161,14 @@ void printSurvivalTable() {
         Opt.InjectBeforeWrite[30 * (K + 1)] = [&R, K] { R.base(K).crash(); };
       History H = stressRegister(R, Opt);
       Status S = checkSwmrAtomicity(H);
+      AllAtomic &= S.ok();
       T.addRow({"majority (nonresponsive)", format("%zu", Tol),
                 format("%zu", Tol), format("%zu", H.Ops.size()),
                 S.ok() ? "yes" : S.error().str()});
     }
   }
   std::printf("%s", T.render().c_str());
+  return AllAtomic;
 }
 
 void printAblationTable() {
@@ -197,7 +202,11 @@ int main(int argc, char **argv) {
   ::benchmark::RunSpecifiedBenchmarks();
   ::benchmark::Shutdown();
   printCostTable();
-  printSurvivalTable();
+  bool AllAtomic = printSurvivalTable();
   printAblationTable();
+  if (!AllAtomic) {
+    std::fprintf(stderr, "E6 survival: a history is not atomic\n");
+    return 1;
+  }
   return 0;
 }

@@ -45,6 +45,20 @@ void BaseRegister::asyncRead(ReadCallback Done) {
 }
 
 void BaseRegister::asyncWrite(TaggedValue V, WriteCallback Done) {
+  submitWrite(V, /*KeepMax=*/false, std::move(Done));
+}
+
+void BaseRegister::asyncWriteMax(TaggedValue V, WriteCallback Done) {
+  submitWrite(V, /*KeepMax=*/true, std::move(Done));
+}
+
+void BaseRegister::applyWrite(TaggedValue V, bool KeepMax) {
+  if (!KeepMax || V.Seq > Cell.Seq)
+    Cell = V;
+}
+
+void BaseRegister::submitWrite(TaggedValue V, bool KeepMax,
+                               WriteCallback Done) {
   assert(Done && "write needs a completion callback");
   bool CompleteInline = false;
   bool Ack = false;
@@ -52,13 +66,14 @@ void BaseRegister::asyncWrite(TaggedValue V, WriteCallback Done) {
     std::lock_guard<std::mutex> Lock(Mutex);
     switch (State) {
     case ObjectState::Ok:
-      Cell = V;
+      applyWrite(V, KeepMax);
       Ack = true;
       CompleteInline = true;
       break;
     case ObjectState::Suspended: {
       Pending P;
       P.IsRead = false;
+      P.KeepMax = KeepMax;
       P.WriteValue = V;
       P.WriteDone = std::move(Done);
       Deferred.push_back(std::move(P));
@@ -124,7 +139,7 @@ void BaseRegister::resume() {
       if (P.IsRead) {
         ReadResult = Cell;
       } else {
-        Cell = P.WriteValue;
+        applyWrite(P.WriteValue, P.KeepMax);
         Ack = true;
       }
     }
@@ -148,7 +163,7 @@ void BaseRegister::resumeOne(size_t Index) {
     if (P.IsRead) {
       ReadResult = Cell;
     } else {
-      Cell = P.WriteValue;
+      applyWrite(P.WriteValue, P.KeepMax);
       Ack = true;
     }
   }

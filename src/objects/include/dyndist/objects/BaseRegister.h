@@ -63,6 +63,14 @@ public:
   /// stores exactly what is written; tag discipline is the caller's).
   void asyncWrite(TaggedValue V, WriteCallback Done);
 
+  /// Writes the cell only if \p V carries a higher Seq than the cell holds
+  /// when the write takes effect (inline, or at resume time if deferred);
+  /// otherwise the cell keeps its tag. Acks either way, and fails exactly
+  /// as asyncWrite does. This is the replica of the ABD discipline, which
+  /// keeps the highest tag it has seen, so that a lagging write-back can
+  /// never erase a newer write.
+  void asyncWriteMax(TaggedValue V, WriteCallback Done);
+
   /// Crashes the object (idempotent). Pending suspended operations are
   /// answered ⊥ under Responsive mode and dropped under Nonresponsive.
   void crash();
@@ -101,10 +109,18 @@ public:
 private:
   struct Pending {
     bool IsRead;
+    bool KeepMax = false;   ///< asyncWriteMax: apply only a higher Seq.
     TaggedValue WriteValue; ///< Valid when !IsRead.
     ReadCallback ReadDone;
     WriteCallback WriteDone;
   };
+
+  /// Shared body of asyncWrite and asyncWriteMax.
+  void submitWrite(TaggedValue V, bool KeepMax, WriteCallback Done);
+
+  /// Writes \p V into Cell, unless \p KeepMax and Cell's Seq is not lower.
+  /// The caller holds Mutex.
+  void applyWrite(TaggedValue V, bool KeepMax);
 
   FailureMode Mode;
   mutable std::mutex Mutex;

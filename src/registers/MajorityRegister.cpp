@@ -37,7 +37,7 @@ void MajorityRegister::quorumWrite(TaggedValue V) {
   auto Latch = std::make_shared<QuorumLatch>(Bases.size() - Tolerated);
   for (auto &B : Bases) {
     ++BaseOps;
-    B->asyncWrite(V, [Latch](bool) { Latch->arrive(); });
+    B->asyncWriteMax(V, [Latch](bool) { Latch->arrive(); });
   }
   Latch->await();
 }

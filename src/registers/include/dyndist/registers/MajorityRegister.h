@@ -21,6 +21,13 @@
 /// readers: once a read returns, a quorum holds a value at least as fresh,
 /// so no later read can return an older one.
 ///
+/// Both phases write through BaseRegister::asyncWriteMax, so each base
+/// keeps the highest tag it has seen, as an ABD replica does. A plain
+/// overwrite would break the promise above: a write-back of tag k, delayed
+/// until the writer's tag k+1 has completed on a quorum, could land on that
+/// quorum and erase k+1, and a later read would return the older value.
+/// The writer's own tags only grow, so for its phase the two agree.
+///
 /// The constructor accepts any (n, t). With n < 2t+1 the quorums stop
 /// intersecting and the construction is *incorrect* — kept constructible
 /// (behind an explicit flag) because the test suite and experiment E6 use
@@ -76,7 +83,8 @@ private:
   /// first n-t completions.
   TaggedValue quorumRead();
 
-  /// Issues writes of \p V to every base and blocks for n-t acks.
+  /// Issues tag-keeping writes of \p V to every base and blocks for n-t
+  /// acks.
   void quorumWrite(TaggedValue V);
 
   std::vector<std::shared_ptr<BaseRegister>> Bases;

@@ -146,6 +146,98 @@ TEST(BaseRegister, NonresponsiveCrashWhileSuspendedDropsOps) {
   EXPECT_EQ(R.droppedOps(), 1u);
 }
 
+namespace {
+
+/// Reads \p R, which must answer inline.
+TaggedValue readNow(BaseRegister &R) {
+  std::optional<TaggedValue> Read;
+  R.asyncRead([&Read](std::optional<TaggedValue> V) { Read = V; });
+  EXPECT_TRUE(Read.has_value());
+  return Read.value_or(TaggedValue{});
+}
+
+} // namespace
+
+TEST(BaseRegister, WriteMaxKeepsHigherTagAndAcks) {
+  BaseRegister R;
+  R.asyncWrite({5, 50}, [](bool) {});
+  bool Ack = false;
+  R.asyncWriteMax({4, 40}, [&Ack](bool Ok) { Ack = Ok; });
+  EXPECT_TRUE(Ack);
+  EXPECT_EQ(readNow(R), (TaggedValue{5, 50}));
+  Ack = false;
+  R.asyncWriteMax({5, 51}, [&Ack](bool Ok) { Ack = Ok; });
+  EXPECT_TRUE(Ack); // An equal tag is not higher: the cell stays.
+  EXPECT_EQ(readNow(R), (TaggedValue{5, 50}));
+}
+
+TEST(BaseRegister, WriteOverwritesHigherTag) {
+  BaseRegister R;
+  R.asyncWrite({5, 50}, [](bool) {});
+  R.asyncWrite({4, 40}, [](bool) {}); // Stores exactly what is written.
+  EXPECT_EQ(readNow(R), (TaggedValue{4, 40}));
+}
+
+TEST(BaseRegister, WriteMaxAppliesHigherTag) {
+  BaseRegister R;
+  bool Ack = false;
+  R.asyncWriteMax({3, 30}, [&Ack](bool Ok) { Ack = Ok; });
+  EXPECT_TRUE(Ack);
+  EXPECT_EQ(readNow(R), (TaggedValue{3, 30}));
+  R.asyncWriteMax({7, 70}, [](bool) {});
+  EXPECT_EQ(readNow(R), (TaggedValue{7, 70}));
+}
+
+TEST(BaseRegister, DeferredWriteMaxComparesWhenReleasedByResumeOne) {
+  BaseRegister R;
+  R.asyncWrite({1, 10}, [](bool) {});
+  R.suspend();
+  bool NewAck = false, OldAck = false;
+  R.asyncWrite({3, 30}, [&NewAck](bool Ok) { NewAck = Ok; });
+  R.asyncWriteMax({2, 20}, [&OldAck](bool Ok) { OldAck = Ok; });
+  // Invoked while the cell still held tag 1, but released after tag 3
+  // took effect: the comparison is against tag 3.
+  R.resumeOne(0);
+  R.resumeOne(0);
+  EXPECT_TRUE(NewAck);
+  EXPECT_TRUE(OldAck);
+  R.resume();
+  EXPECT_EQ(readNow(R), (TaggedValue{3, 30}));
+}
+
+TEST(BaseRegister, DeferredWriteMaxComparesWhenReleasedByResume) {
+  BaseRegister R;
+  R.asyncWrite({1, 10}, [](bool) {});
+  R.suspend();
+  bool NewAck = false, OldAck = false;
+  R.asyncWrite({3, 30}, [&NewAck](bool Ok) { NewAck = Ok; });
+  R.asyncWriteMax({2, 20}, [&OldAck](bool Ok) { OldAck = Ok; });
+  R.resume();
+  EXPECT_TRUE(NewAck);
+  EXPECT_TRUE(OldAck);
+  EXPECT_EQ(readNow(R), (TaggedValue{3, 30}));
+}
+
+TEST(BaseRegister, WriteMaxFailsLikeWrite) {
+  BaseRegister Responsive(FailureMode::Responsive);
+  Responsive.crash();
+  bool Ran = false, Ack = true;
+  Responsive.asyncWriteMax({1, 1}, [&](bool Ok) {
+    Ran = true;
+    Ack = Ok;
+  });
+  EXPECT_TRUE(Ran);
+  EXPECT_FALSE(Ack); // ⊥.
+  EXPECT_EQ(Responsive.droppedOps(), 0u);
+
+  BaseRegister Silent(FailureMode::Nonresponsive);
+  Silent.crash();
+  bool AnyCallback = false;
+  Silent.asyncWriteMax({1, 1}, [&](bool) { AnyCallback = true; });
+  EXPECT_FALSE(AnyCallback);
+  EXPECT_EQ(Silent.droppedOps(), 1u);
+}
+
 TEST(BaseConsensus, FirstProposalSticks) {
   BaseConsensus C;
   std::optional<int64_t> First, Second;

@@ -246,6 +246,80 @@ TEST(MajorityRegister, ProperlyProvisionedResistsTheSameAdversary) {
   Runner.joinAll();
 }
 
+/// Regression: a read's write-back, held back until a newer write has
+/// completed on a quorum, must not erase that write. n = 3, t = 1. Reader
+/// 1 reads value 1 from {B0, B1}; its write-back is withheld at B1 and B2
+/// while write #2 completes on {B0, B1}; then the write-back lands on B1
+/// and B2. Reader 2 starts after write #2 completed and reads {B1, B2}:
+/// tag-keeping bases still hold value 2 there. The schedule is fixed by
+/// suspend()/resumeOne(), so the outcome does not depend on thread timing.
+TEST(MajorityRegister, DelayedWriteBackKeepsNewerWrite) {
+  std::shared_ptr<BaseRegister> B[3];
+  for (auto &Base : B)
+    Base = std::make_shared<BaseRegister>(FailureMode::Nonresponsive);
+  MajorityRegister R({B[0], B[1], B[2]}, /*Tolerated=*/1);
+  HistoryRecorder Rec;
+  auto pending = [&B](size_t At1, size_t At2) {
+    return [&B, At1, At2] {
+      return B[1]->deferredCount() == At1 && B[2]->deferredCount() == At2;
+    };
+  };
+
+  uint64_t W1 = Rec.beginOp(0, OpKind::Write, 1);
+  R.write(1);
+  Rec.endOp(W1);
+
+  B[1]->suspend();
+  B[2]->suspend();
+  std::atomic<bool> Reader1Done{false}, WriterDone{false};
+  ThreadRunner Reader1;
+  Reader1.spawn([&] {
+    uint64_t Op = Rec.beginOp(1, OpKind::Read);
+    Rec.endOp(Op, R.read(0));
+    Reader1Done = true;
+  });
+  ASSERT_TRUE(eventually(pending(1, 1)));
+  B[1]->resumeOne(0); // Read quorum {B0, B1}: value 1.
+  ASSERT_TRUE(eventually(pending(1, 2))); // Write-back withheld at B1, B2.
+
+  ThreadRunner Writer;
+  Writer.spawn([&] {
+    uint64_t Op = Rec.beginOp(0, OpKind::Write, 2);
+    R.write(2);
+    Rec.endOp(Op);
+    WriterDone = true;
+  });
+  ASSERT_TRUE(eventually(pending(2, 3)));
+  B[1]->resumeOne(1); // Write #2 completes on {B0, B1}.
+  ASSERT_TRUE(eventually([&] { return WriterDone.load(); }));
+  B[1]->resumeOne(0); // The held-back write-back of tag 1 reaches B1.
+  ASSERT_TRUE(eventually([&] { return Reader1Done.load(); }));
+  B[2]->resumeOne(2); // Write #2 at B2, then the write-back after it.
+  B[2]->resumeOne(1);
+  B[1]->resume();
+  B[2]->resume();
+  Reader1.joinAll();
+  Writer.joinAll();
+
+  B[0]->suspend();
+  ThreadRunner Reader2;
+  Reader2.spawn([&] {
+    uint64_t Op = Rec.beginOp(2, OpKind::Read);
+    Rec.endOp(Op, R.read(1)); // Quorum {B1, B2}.
+  });
+  Reader2.joinAll();
+  B[0]->resume();
+
+  History H = Rec.snapshot();
+  ASSERT_EQ(H.Ops.size(), 4u);
+  ASSERT_TRUE(H.allComplete());
+  std::vector<Operation> Reader2Ops = H.byClient(2);
+  ASSERT_EQ(Reader2Ops.size(), 1u);
+  EXPECT_EQ(Reader2Ops[0].Value, 2);
+  Status S = checkSwmrAtomicity(H);
+  EXPECT_TRUE(S.ok()) << S.error().str();
+}
+
 //===----------------------------------------------------------------------===//
 // MultiReaderRegister: SWSR cells -> SWMR register
 //===----------------------------------------------------------------------===//
