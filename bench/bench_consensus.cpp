@@ -13,6 +13,11 @@
 //    responsive ⊥ answers are answers).
 //  - table 2: the nonresponsive family's dilemma — for every WaitFor
 //    parameter the outcome under a 1-fault adversary: blocked or split.
+//    These disagreements are the expected result, not failures.
+//
+// The binary exits 1 (message on stderr) if a chain run of table 1 fails
+// agreement, validity or termination, or a rotating-consensus run fails
+// agreement or validity.
 //
 //===----------------------------------------------------------------------===//
 
@@ -56,12 +61,15 @@ BENCHMARK(BM_ChainProposeWithCrashedObjects)->Arg(0)->Arg(2)->Arg(4);
 
 namespace {
 
-void printAgreementTable() {
+/// Prints the chain table; returns false if any run violates safety or
+/// termination.
+bool printAgreementTable() {
   std::printf("\nE7 chain robustness: 6 concurrent proposers, crashes "
               "injected mid-run\n");
   Table T;
   T.setHeader({"t", "objects", "crashes", "agreement",
                "base-invocations/decision"});
+  bool AllAgree = true;
   for (size_t Tol : {0, 1, 2, 4}) {
     for (size_t Crashes = 0; Crashes <= Tol; Crashes += (Tol > 2 ? 2 : 1)) {
       ConsensusChain Chain(Tol);
@@ -74,6 +82,7 @@ void printAgreementTable() {
         };
       auto Records = stressConsensus(Chain, Opt);
       Status S = checkConsensusRun(Records);
+      AllAgree &= S.ok();
       T.addRow({format("%zu", Tol), format("%zu", Chain.baseCount()),
                 format("%zu", Crashes), S.ok() ? "yes" : S.error().str(),
                 format("%.1f", double(Chain.baseInvocations()) /
@@ -83,6 +92,7 @@ void printAgreementTable() {
     }
   }
   std::printf("%s", T.render().c_str());
+  return AllAgree;
 }
 
 void printDilemmaTable() {
@@ -174,7 +184,9 @@ void printStaticVsDynamicTable() {
               "divide the paper's definition effort is about.\n");
 }
 
-void printRotatingTable() {
+/// Prints the rotating-consensus table; returns false if any run violates
+/// agreement or validity.
+bool printRotatingTable() {
   std::printf("\nE7 static-system reference: rotating-coordinator consensus "
               "(n = 7, f < n/2)\n");
   Table T;
@@ -184,6 +196,7 @@ void printRotatingTable() {
     size_t Crashes;
     bool HeavyTail;
   } Cases[] = {{0, false}, {1, false}, {3, false}, {0, true}, {2, true}};
+  bool AllSafe = true;
   for (const Case &C : Cases) {
     Simulator S(101 + C.Crashes + (C.HeavyTail ? 10 : 0));
     // Rotating-consensus outcomes are collected from Observe records.
@@ -213,6 +226,7 @@ void printRotatingTable() {
     S.run(L);
     auto Records = collectRotatingOutcome(S.trace());
     Status Safety = checkConsensusRun(Records, /*RequireAllDecide=*/false);
+    AllSafe &= Safety.ok();
     size_t Decided = 0;
     uint64_t MaxRounds = 0;
     for (RotatingConsensusActor *A : Actors) {
@@ -231,6 +245,7 @@ void printRotatingTable() {
   std::printf("The production-grade static protocol: crashes cost rounds\n"
               "and messages but never agreement — *given* the fixed, known\n"
               "participant set the dynamic models take away.\n");
+  return AllSafe;
 }
 
 } // namespace
@@ -239,9 +254,13 @@ int main(int argc, char **argv) {
   ::benchmark::Initialize(&argc, argv);
   ::benchmark::RunSpecifiedBenchmarks();
   ::benchmark::Shutdown();
-  printAgreementTable();
+  bool ChainOk = printAgreementTable();
   printDilemmaTable();
-  printRotatingTable();
+  bool RotatingOk = printRotatingTable();
   printStaticVsDynamicTable();
-  return 0;
+  if (!ChainOk)
+    std::fprintf(stderr, "E7 chain: a run violated consensus\n");
+  if (!RotatingOk)
+    std::fprintf(stderr, "E7 rotating consensus: a run violated safety\n");
+  return ChainOk && RotatingOk ? 0 : 1;
 }

@@ -10,8 +10,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 #include <set>
+#include <utility>
 
 using namespace dyndist;
 
@@ -66,114 +66,142 @@ History HistoryRecorder::snapshot() const {
   return H;
 }
 
-/// Splits \p H into the (sequential) write list indexed 0..m — index 0 is
-/// the virtual initial write — and the read list. Returns an error message
-/// when the shape assumptions fail.
-static Status splitSwmrHistory(const History &H, int64_t Initial,
-                               std::vector<Operation> &Writes,
-                               std::vector<Operation> &Reads,
-                               std::map<int64_t, size_t> &IndexOf) {
+namespace {
+
+/// A read reduced to what the inversion sweep needs: its stamps and the
+/// index of the write it returned.
+struct ReadStamp {
+  uint64_t InvSeq;
+  uint64_t ResSeq;
+  size_t Write;
+};
+
+} // namespace
+
+/// Collects the writes of \p H, sorted by invocation: write k (1-based) is
+/// Writes[k-1], and index 0 is the virtual initial write of \p Initial.
+/// \p IndexOf holds every (value, write index) pair sorted by value.
+/// Returns an error when the shape assumptions fail.
+static Status
+splitSwmrHistory(const History &H, int64_t Initial,
+                 std::vector<const Operation *> &Writes,
+                 std::vector<std::pair<int64_t, size_t>> &IndexOf) {
   if (!H.allComplete())
     return Error(Error::Code::InvalidArgument,
                  "checker requires a complete history");
-  std::set<uint64_t> WriterClients;
   for (const Operation &O : H.Ops) {
     if (O.Failed)
       return Error(Error::Code::InvalidArgument,
                    "checker requires non-failed operations");
-    if (O.Kind == OpKind::Write) {
-      Writes.push_back(O);
-      WriterClients.insert(O.Client);
-    } else {
-      Reads.push_back(O);
-    }
+    if (O.ResSeq < O.InvSeq)
+      return Error(Error::Code::InvalidArgument,
+                   "operation responded before it was invoked");
+    if (O.Kind == OpKind::Write)
+      Writes.push_back(&O);
   }
-  if (WriterClients.size() > 1)
+  if (std::any_of(Writes.begin(), Writes.end(), [&](const Operation *W) {
+        return W->Client != Writes.front()->Client;
+      }))
     return Error(Error::Code::InvalidArgument,
                  "single-writer checker saw multiple writer clients");
   std::sort(Writes.begin(), Writes.end(),
-            [](const Operation &A, const Operation &B) {
-              return A.InvSeq < B.InvSeq;
+            [](const Operation *A, const Operation *B) {
+              return A->InvSeq < B->InvSeq;
             });
-  // Prepend the virtual initial write (stamps 0 precede everything).
-  Operation Init;
-  Init.Kind = OpKind::Write;
-  Init.Value = Initial;
-  Init.Completed = true;
-  Writes.insert(Writes.begin(), Init);
-
-  for (size_t I = 0; I != Writes.size(); ++I) {
-    if (!IndexOf.emplace(Writes[I].Value, I).second)
+  // Sequential writes make ResSeq increase with the index, so the writes
+  // completed before any stamp form a prefix.
+  for (size_t K = 1; K < Writes.size(); ++K)
+    if (Writes[K]->InvSeq < Writes[K - 1]->ResSeq)
       return Error(Error::Code::InvalidArgument,
-                   format("written values must be distinct; %lld repeats",
-                          static_cast<long long>(Writes[I].Value)));
-  }
-  return Status::success();
-}
+                   format("writes overlap: write #%zu began before write "
+                          "#%zu completed",
+                          K + 1, K));
 
-/// Index of the last write whose response precedes stamp \p InvSeq.
-static size_t lastWriteCompletedBefore(const std::vector<Operation> &Writes,
-                                       uint64_t InvSeq) {
-  size_t Best = 0;
-  for (size_t I = 1; I != Writes.size(); ++I)
-    if (Writes[I].ResSeq < InvSeq)
-      Best = I;
-    else
-      break; // Writes are sequential: ResSeq increases with index.
-  return Best;
+  IndexOf.reserve(Writes.size() + 1);
+  IndexOf.emplace_back(Initial, 0);
+  for (size_t K = 0; K != Writes.size(); ++K)
+    IndexOf.emplace_back(Writes[K]->Value, K + 1);
+  std::sort(IndexOf.begin(), IndexOf.end());
+  auto Repeat = std::adjacent_find(
+      IndexOf.begin(), IndexOf.end(),
+      [](const auto &A, const auto &B) { return A.first == B.first; });
+  if (Repeat != IndexOf.end())
+    return Error(Error::Code::InvalidArgument,
+                 format("written values must be distinct; %lld repeats",
+                        static_cast<long long>(Repeat->first)));
+  return Status::success();
 }
 
 /// Shared core of the regularity and atomicity checks; \p CheckInversions
 /// adds the reads-don't-go-backwards clause that upgrades regular to
-/// atomic.
+/// atomic. O(n log n): two sorts, a binary search per read and one sweep.
 static Status checkSwmrCore(const History &H, int64_t Initial,
                             bool CheckInversions) {
-  std::vector<Operation> Writes, Reads;
-  std::map<int64_t, size_t> IndexOf;
-  if (Status S = splitSwmrHistory(H, Initial, Writes, Reads, IndexOf); !S)
+  std::vector<const Operation *> Writes;
+  std::vector<std::pair<int64_t, size_t>> IndexOf;
+  if (Status S = splitSwmrHistory(H, Initial, Writes, IndexOf); !S)
     return S;
 
-  std::vector<size_t> ReadIndex(Reads.size());
-  for (size_t R = 0; R != Reads.size(); ++R) {
-    const Operation &Rd = Reads[R];
-    auto It = IndexOf.find(Rd.Value);
-    if (It == IndexOf.end())
+  std::vector<ReadStamp> ByInv;
+  ByInv.reserve(H.Ops.size() - Writes.size());
+  for (const Operation &Rd : H.Ops) {
+    if (Rd.Kind != OpKind::Read)
+      continue;
+    auto It = std::lower_bound(IndexOf.begin(), IndexOf.end(),
+                               std::pair<int64_t, size_t>(Rd.Value, 0));
+    if (It == IndexOf.end() || It->first != Rd.Value)
       return Error(Error::Code::ProtocolViolation,
                    format("read by client %llu returned %lld, which was "
                           "never written",
                           static_cast<unsigned long long>(Rd.Client),
                           static_cast<long long>(Rd.Value)));
     size_t I = It->second;
-    ReadIndex[R] = I;
     // (i) The write must have started before the read ended.
-    if (I != 0 && Writes[I].InvSeq > Rd.ResSeq)
+    if (I != 0 && Writes[I - 1]->InvSeq > Rd.ResSeq)
       return Error(Error::Code::ProtocolViolation,
                    format("read returned %lld before that write began",
                           static_cast<long long>(Rd.Value)));
     // (ii) The value must not predate the last write completed before the
-    // read began.
-    size_t Floor = lastWriteCompletedBefore(Writes, Rd.InvSeq);
+    // read began: the completed writes are a prefix of length Floor.
+    size_t Floor = std::partition_point(Writes.begin(), Writes.end(),
+                                        [&Rd](const Operation *W) {
+                                          return W->ResSeq < Rd.InvSeq;
+                                        }) -
+                   Writes.begin();
     if (I < Floor)
       return Error(
           Error::Code::ProtocolViolation,
           format("stale read: returned write #%zu but write #%zu had "
                  "completed before the read began",
                  I, Floor));
+    ByInv.push_back({Rd.InvSeq, Rd.ResSeq, I});
   }
 
   if (!CheckInversions)
     return Status::success();
 
-  // (iii) No new/old inversion between real-time-ordered reads.
-  for (size_t A = 0; A != Reads.size(); ++A) {
-    for (size_t B = 0; B != Reads.size(); ++B) {
-      if (Reads[A].ResSeq < Reads[B].InvSeq && ReadIndex[B] < ReadIndex[A])
-        return Error(
-            Error::Code::ProtocolViolation,
-            format("new/old inversion: a read of write #%zu preceded a "
-                   "read of write #%zu",
-                   ReadIndex[A], ReadIndex[B]));
-    }
+  // (iii) No new/old inversion between real-time-ordered reads: sweep the
+  // reads by invocation, tracking the newest write returned by any read
+  // that responded before the current one began.
+  std::vector<ReadStamp> ByRes = ByInv;
+  std::sort(ByInv.begin(), ByInv.end(),
+            [](const ReadStamp &A, const ReadStamp &B) {
+              return A.InvSeq < B.InvSeq;
+            });
+  std::sort(ByRes.begin(), ByRes.end(),
+            [](const ReadStamp &A, const ReadStamp &B) {
+              return A.ResSeq < B.ResSeq;
+            });
+  size_t Done = 0, Newest = 0;
+  for (const ReadStamp &Rd : ByInv) {
+    for (; Done != ByRes.size() && ByRes[Done].ResSeq < Rd.InvSeq; ++Done)
+      Newest = std::max(Newest, ByRes[Done].Write);
+    if (Rd.Write < Newest)
+      return Error(
+          Error::Code::ProtocolViolation,
+          format("new/old inversion: a read of write #%zu preceded a "
+                 "read of write #%zu",
+                 Newest, Rd.Write));
   }
   return Status::success();
 }

@@ -14,8 +14,13 @@
 /// object).
 ///
 /// Two register checkers are provided:
-///  - checkSwmrAtomicity: polynomial-time, for single-writer histories with
-///    distinct written values (the shape our stress tests produce);
+///  - checkSwmrAtomicity: O(n log n), for single-writer histories with
+///    sequential writes of distinct values (the shape our stress tests
+///    produce). Each read must satisfy three clauses: (i) the write it
+///    returned began before the read ended; (ii) no later write completed
+///    before the read began (no stale read); (iii) no read that ended
+///    before it began returned a later write (no new/old inversion).
+///    checkSwmrRegularity checks (i) and (ii) only;
 ///  - checkLinearizableRegister: an exponential Wing&Gong-style search for
 ///    arbitrary small register histories, used as ground truth in tests.
 ///
@@ -81,7 +86,9 @@ private:
 /// Atomicity (linearizability) check specialized to single-writer
 /// histories whose writes carry pairwise-distinct values and where the
 /// register starts at \p Initial. O(n log n). All operations must be
-/// complete and non-failed.
+/// complete and non-failed, and the writes must not overlap; a history
+/// that breaks a shape assumption gets InvalidArgument, a non-atomic one
+/// ProtocolViolation.
 Status checkSwmrAtomicity(const History &H, int64_t Initial = 0);
 
 /// General linearizability check for a register history (any number of

@@ -8,10 +8,15 @@
 #include "dyndist/objects/BaseRegister.h"
 #include "dyndist/objects/History.h"
 #include "dyndist/objects/Quorum.h"
+#include "dyndist/support/Random.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
 #include <thread>
+#include <vector>
 
 using namespace dyndist;
 
@@ -430,6 +435,40 @@ TEST(SwmrChecker, RequiresDistinctValues) {
   EXPECT_FALSE(checkSwmrAtomicity(H).ok());
 }
 
+TEST(SwmrChecker, RejectsOverlappingWrites) {
+  // w(2) completes before the read begins, so returning the initial 0 is
+  // stale; a checker assuming sequential writes would miss it because
+  // w(1), invoked first, is still running. A single writer cannot have two
+  // writes in progress, so the history is refused as malformed.
+  History H = makeHistory({{0, OpKind::Write, 1, 1, 10},
+                           {0, OpKind::Write, 2, 2, 3},
+                           {1, OpKind::Read, 0, 4, 5}});
+  for (const Status &S : {checkSwmrAtomicity(H), checkSwmrRegularity(H)}) {
+    ASSERT_FALSE(S.ok());
+    EXPECT_EQ(S.error().Kind, Error::Code::InvalidArgument);
+    EXPECT_NE(S.error().str().find("writes overlap"), std::string::npos)
+        << S.error().str();
+  }
+  EXPECT_FALSE(checkLinearizableRegister(H).ok());
+}
+
+TEST(SwmrChecker, RejectsResponseBeforeInvocation) {
+  History H = makeHistory({{0, OpKind::Write, 1, 4, 3}});
+  Status S = checkSwmrAtomicity(H);
+  ASSERT_FALSE(S.ok());
+  EXPECT_EQ(S.error().Kind, Error::Code::InvalidArgument);
+}
+
+TEST(SwmrChecker, ReportsValueThatRepeatsTheInitialOne) {
+  History H = makeHistory(
+      {{0, OpKind::Write, 5, 1, 2}, {0, OpKind::Write, 0, 3, 4}});
+  Status S = checkSwmrAtomicity(H);
+  ASSERT_FALSE(S.ok());
+  EXPECT_EQ(S.error().Kind, Error::Code::InvalidArgument);
+  EXPECT_EQ(S.error().str(),
+            "invalid-argument: written values must be distinct; 0 repeats");
+}
+
 TEST(LinChecker, AgreesWithSwmrCheckerOnExamples) {
   History Good = makeHistory({{0, OpKind::Write, 1, 1, 10},
                               {1, OpKind::Read, 1, 2, 3},
@@ -475,6 +514,216 @@ TEST(LinChecker, CapsHistorySize) {
   Status S = checkLinearizableRegister(H);
   ASSERT_FALSE(S.ok());
   EXPECT_EQ(S.error().Kind, Error::Code::Unsupported);
+}
+
+namespace {
+
+/// Reference SWMR checker: the three clauses checked pair by pair, in
+/// O(R^2 + R*W). The library's checker must give the same verdicts.
+Status pairwiseSwmrCheck(const History &H, int64_t Initial,
+                         bool CheckInversions) {
+  std::vector<Operation> Writes, Reads;
+  for (const Operation &O : H.Ops)
+    (O.Kind == OpKind::Write ? Writes : Reads).push_back(O);
+  std::sort(Writes.begin(), Writes.end(),
+            [](const Operation &A, const Operation &B) {
+              return A.InvSeq < B.InvSeq;
+            });
+  Operation Init;
+  Init.Kind = OpKind::Write;
+  Init.Value = Initial;
+  Writes.insert(Writes.begin(), Init);
+  std::map<int64_t, size_t> IndexOf;
+  for (size_t I = 0; I != Writes.size(); ++I)
+    if (!IndexOf.emplace(Writes[I].Value, I).second)
+      return Error(Error::Code::InvalidArgument, "repeated value");
+
+  std::vector<size_t> ReadIndex(Reads.size());
+  for (size_t R = 0; R != Reads.size(); ++R) {
+    auto It = IndexOf.find(Reads[R].Value);
+    if (It == IndexOf.end())
+      return Error(Error::Code::ProtocolViolation, "never written");
+    size_t I = ReadIndex[R] = It->second;
+    // (i) The write must have started before the read ended.
+    if (I != 0 && Writes[I].InvSeq > Reads[R].ResSeq)
+      return Error(Error::Code::ProtocolViolation, "(i) future read");
+    // (ii) No write after the returned one completed before the read.
+    for (size_t J = I + 1; J < Writes.size(); ++J)
+      if (Writes[J].ResSeq < Reads[R].InvSeq)
+        return Error(Error::Code::ProtocolViolation, "(ii) stale read");
+  }
+  if (!CheckInversions)
+    return Status::success();
+  // (iii) No new/old inversion between real-time-ordered reads.
+  for (size_t A = 0; A != Reads.size(); ++A)
+    for (size_t B = 0; B != Reads.size(); ++B)
+      if (Reads[A].ResSeq < Reads[B].InvSeq && ReadIndex[B] < ReadIndex[A])
+        return Error(Error::Code::ProtocolViolation, "(iii) inversion");
+  return Status::success();
+}
+
+/// A random single-writer history: client 0 writes, clients 1..Readers
+/// read, each client one operation after another. Invocations,
+/// linearization points and responses of the clients interleave at
+/// random, and each read first returns the value current at its
+/// linearization point, so the history is atomic. Then, with probability
+/// one half, up to two reads are changed to return another value: a
+/// nearby write, any write, or (rarely) a value never written.
+History randomSwmrHistory(Rng &R, size_t Writes, size_t Readers,
+                          size_t ReadsPerReader) {
+  // Distinct written values in random order, none equal to the initial 0.
+  std::vector<int64_t> Values(Writes + 1, 0);
+  for (size_t K = 1; K <= Writes; ++K)
+    Values[K] = 7 * static_cast<int64_t>(K) - 3;
+  std::vector<int64_t> Shuffled(Values.begin() + 1, Values.end());
+  R.shuffle(Shuffled);
+  std::copy(Shuffled.begin(), Shuffled.end(), Values.begin() + 1);
+
+  enum class Phase { Idle, Pending, Effective };
+  struct Client {
+    size_t Left = 0;
+    Phase At = Phase::Idle;
+    size_t Op = 0;
+  };
+  std::vector<Client> Clients(Readers + 1);
+  Clients[0].Left = Writes;
+  for (size_t C = 1; C <= Readers; ++C)
+    Clients[C].Left = ReadsPerReader;
+
+  History H;
+  std::vector<std::pair<size_t, size_t>> ReadOps; // (op, write index)
+  size_t Current = 0, NextWrite = 1;
+  uint64_t Stamp = 1;
+  std::vector<size_t> Busy;
+  for (;;) {
+    Busy.clear();
+    for (size_t C = 0; C != Clients.size(); ++C)
+      if (Clients[C].Left || Clients[C].At != Phase::Idle)
+        Busy.push_back(C);
+    if (Busy.empty())
+      break;
+    size_t C = R.pick(Busy);
+    Client &Cl = Clients[C];
+    switch (Cl.At) {
+    case Phase::Idle: {
+      Operation O;
+      O.Id = H.Ops.size();
+      O.Client = C;
+      O.Kind = C == 0 ? OpKind::Write : OpKind::Read;
+      O.InvSeq = Stamp++;
+      if (C == 0)
+        O.Value = Values[NextWrite++];
+      Cl.Op = H.Ops.size();
+      H.Ops.push_back(O);
+      --Cl.Left;
+      Cl.At = Phase::Pending;
+      break;
+    }
+    case Phase::Pending:
+      if (C == 0) {
+        ++Current;
+      } else {
+        H.Ops[Cl.Op].Value = Values[Current];
+        ReadOps.emplace_back(Cl.Op, Current);
+      }
+      Cl.At = Phase::Effective;
+      break;
+    case Phase::Effective:
+      H.Ops[Cl.Op].ResSeq = Stamp++;
+      H.Ops[Cl.Op].Completed = true;
+      Cl.At = Phase::Idle;
+      break;
+    }
+  }
+
+  if (ReadOps.empty() || R.nextBernoulli(0.5))
+    return H;
+  for (uint64_t M = R.nextBelow(2); M != 2; ++M) {
+    size_t P = R.nextBelow(ReadOps.size());
+    auto [Op, Index] = ReadOps[P];
+    uint64_t Kind = R.nextBelow(20);
+    if (Kind == 0) {
+      H.Ops[Op].Value = -1; // Never written: every value is 0 or 7K - 3.
+    } else if (Kind < 4) {
+      H.Ops[Op].Value = Values[R.nextBelow(Values.size())];
+    } else if (Kind < 12) {
+      int64_t Near = static_cast<int64_t>(Index) + R.nextInRange(-2, 2);
+      H.Ops[Op].Value = Values[std::clamp<int64_t>(Near, 0, Writes)];
+    } else if (P + 1 != ReadOps.size()) {
+      // Swap with the next read in linearization order.
+      std::swap(H.Ops[Op].Value, H.Ops[ReadOps[P + 1].first].Value);
+    }
+  }
+  return H;
+}
+
+/// Which clause a pairwise verdict names, for coverage counts.
+size_t clauseOf(const Status &S) {
+  if (S.ok())
+    return 0;
+  const std::string Text = S.error().str();
+  for (size_t C = 1; C <= 3; ++C)
+    if (Text.find("(" + std::string(C, 'i') + ")") != std::string::npos)
+      return C;
+  return 4;
+}
+
+/// The generated histories must include atomic ones and violations of
+/// each clause, or agreement would show little.
+void expectEveryClause(const size_t (&ByClause)[5]) {
+  EXPECT_GT(ByClause[0], 0u) << "no atomic history";
+  EXPECT_GT(ByClause[1], 0u) << "clause (i) never violated";
+  EXPECT_GT(ByClause[2], 0u) << "clause (ii) never violated";
+  EXPECT_GT(ByClause[3], 0u) << "clause (iii) never violated";
+}
+
+} // namespace
+
+TEST(SwmrChecker, AgreesWithLinearizabilitySearchOnSmallHistories) {
+  // 10^4 histories of at most 16 operations against the exhaustive search.
+  const uint64_t Master = 0x5eed0017;
+  size_t ByClause[5] = {};
+  for (uint64_t I = 0; I != 10000; ++I) {
+    const uint64_t Seed = Master + I;
+    Rng R(Seed);
+    size_t Writes = R.nextBelow(6);
+    size_t Readers = 1 + R.nextBelow(3);
+    size_t PerReader = 1 + R.nextBelow((16 - Writes) / Readers);
+    History H = randomSwmrHistory(R, Writes, Readers, PerReader);
+    ASSERT_LE(H.Ops.size(), 16u);
+    ASSERT_EQ(checkSwmrAtomicity(H).ok(), checkLinearizableRegister(H).ok())
+        << "seed " << Seed;
+    ++ByClause[clauseOf(pairwiseSwmrCheck(H, 0, /*CheckInversions=*/true))];
+  }
+  expectEveryClause(ByClause);
+}
+
+TEST(SwmrChecker, AgreesWithPairwiseOracleOnLargeHistories) {
+  // 10^3 histories of a few hundred operations against the pairwise
+  // clauses, for both atomicity and regularity.
+  const uint64_t Master = 0x5eed1017;
+  size_t ByClause[5] = {};
+  for (uint64_t I = 0; I != 1000; ++I) {
+    const uint64_t Seed = Master + I;
+    Rng R(Seed);
+    size_t Writes = 50 + R.nextBelow(101);
+    size_t Readers = 1 + R.nextBelow(3);
+    size_t PerReader = 30 + R.nextBelow(71);
+    History H = randomSwmrHistory(R, Writes, Readers, PerReader);
+    for (bool Atomic : {true, false}) {
+      Status Want = pairwiseSwmrCheck(H, 0, Atomic);
+      Status Got = Atomic ? checkSwmrAtomicity(H) : checkSwmrRegularity(H);
+      ASSERT_EQ(Got.ok(), Want.ok())
+          << "seed " << Seed << (Atomic ? " atomicity: " : " regularity: ")
+          << (Got.ok() ? Want.error().str() : Got.error().str());
+      if (!Got.ok()) {
+        ASSERT_EQ(Got.error().Kind, Want.error().Kind) << "seed " << Seed;
+      }
+      if (Atomic)
+        ++ByClause[clauseOf(Want)];
+    }
+  }
+  expectEveryClause(ByClause);
 }
 
 TEST(ConsensusChecker, AgreementAndValidity) {

@@ -4,7 +4,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "dyndist/support/Logging.h"
 #include "dyndist/support/Random.h"
 #include "dyndist/support/Result.h"
 #include "dyndist/support/Stats.h"
@@ -272,30 +271,4 @@ TEST(Result, StatusSuccessAndFailure) {
   Status F = Error(Error::Code::Unsolvable, "no way");
   EXPECT_FALSE(F.ok());
   EXPECT_EQ(F.error().Kind, Error::Code::Unsolvable);
-}
-
-TEST(Logging, LevelGating) {
-  Logger::setLevel(LogLevel::Warn);
-  EXPECT_TRUE(Logger::enabled(LogLevel::Warn));
-  EXPECT_FALSE(Logger::enabled(LogLevel::Info));
-  Logger::setLevel(LogLevel::Debug);
-  EXPECT_TRUE(Logger::enabled(LogLevel::Info));
-  EXPECT_FALSE(Logger::enabled(LogLevel::Trace));
-  Logger::setLevel(LogLevel::Warn);
-}
-
-TEST(Logging, SinkRedirection) {
-  std::FILE *Tmp = std::tmpfile();
-  ASSERT_NE(Tmp, nullptr);
-  Logger::setSink(Tmp);
-  Logger::setLevel(LogLevel::Info);
-  DYNDIST_INFO("hello sink");
-  std::fflush(Tmp);
-  std::rewind(Tmp);
-  char Buf[64] = {0};
-  ASSERT_NE(std::fgets(Buf, sizeof(Buf), Tmp), nullptr);
-  EXPECT_NE(std::string(Buf).find("hello sink"), std::string::npos);
-  Logger::setSink(nullptr);
-  Logger::setLevel(LogLevel::Warn);
-  std::fclose(Tmp);
 }
