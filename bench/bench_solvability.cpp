@@ -152,8 +152,8 @@ ExperimentConfig shortRunConfig(uint64_t Seed, unsigned Shards) {
   Cfg.Horizon = 30;
   Cfg.QueryAt = Cfg.Horizon + 1;
   // Throughput regime: nothing reads the diameter column here, so skip the
-  // all-sources-BFS monitor that would otherwise dominate every short run
-  // (identically in both the fresh and reused paths).
+  // diameter monitor, per-run work identical in the fresh and reused paths
+  // that would only dilute the setup cost this benchmark measures.
   Cfg.DiameterSampleEvery = 0;
   return Cfg;
 }

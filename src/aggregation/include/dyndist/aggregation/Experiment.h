@@ -54,10 +54,10 @@ struct ExperimentConfig {
   SimTime Horizon = 900;
 
   /// Overlay diameter sampling period for the admissibility monitor
-  /// (exact all-sources BFS per sample, so it dominates short runs).
-  /// 0 disables sampling: MaxDiameter reads 0 and a disclosed diameter
-  /// bound is accepted unaudited — throughput sweeps that don't consume
-  /// the diameter column opt out of paying for it.
+  /// (one exact diameter() per sample, a few BFS passes on typical
+  /// overlays). 0 disables sampling: MaxDiameter reads 0 and a disclosed
+  /// diameter bound is accepted unaudited — throughput sweeps that don't
+  /// consume the diameter column opt out of paying for it.
   SimTime DiameterSampleEvery = 16;
 
   /// Flooding tuning: 0 means "use the class's derivable TTL" (falling

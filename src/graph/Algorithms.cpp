@@ -7,9 +7,10 @@
 // All traversals run over the graph's dense slot indices with epoch-stamped
 // thread-local scratch buffers: a BFS allocates nothing once the scratch has
 // grown to the graph's slot-table size, and "visited" is one stamp compare
-// instead of a map lookup. The public map-returning wrappers materialize
-// their results from the scratch, preserving the original (ascending,
-// deterministic) output contracts byte for byte.
+// instead of a map lookup. diameter()'s bit-parallel fringe BFS keeps its
+// own per-thread words, zeroed per batch. The public map-returning wrappers
+// materialize their results from the scratch, preserving the original
+// (ascending, deterministic) output contracts byte for byte.
 //
 //===----------------------------------------------------------------------===//
 
@@ -80,6 +81,66 @@ size_t bfsDense(const Graph &G, ProcessId Source, BfsScratch &S) {
   return S.Order.size();
 }
 
+/// Per-thread state of the bit-parallel fringe BFS, indexed by graph slot:
+/// bit K of a word stands for source K of the current batch. Between
+/// batches every Visit and Next word is zero.
+struct FringeScratch {
+  std::vector<uint64_t> Seen;  ///< Sources that have reached the slot.
+  std::vector<uint64_t> Visit; ///< Sources whose frontier holds the slot.
+  std::vector<uint64_t> Next;  ///< Sources that reach the slot next level.
+  std::vector<uint32_t> Frontier, NextFrontier;
+
+  void begin(const Graph &G) {
+    size_t N = G.slotTableSize();
+    if (Seen.size() < N) {
+      Seen.resize(N);
+      Visit.resize(N, 0);
+      Next.resize(N, 0);
+    }
+  }
+};
+
+thread_local FringeScratch TLFringe;
+
+/// Largest eccentricity among the \p Count (<= 64) slots at \p Sources of a
+/// connected graph, by one multi-source BFS in which each source owns one
+/// bit (MS-BFS, Then et al., VLDB 2014). Only frontier slots are expanded,
+/// so the batch visits no more than its separate BFSes would; the answer is
+/// the number of levels that still discover something.
+uint64_t batchEccentricity(const Graph &G, const uint32_t *Sources,
+                           size_t Count, FringeScratch &F) {
+  std::fill(F.Seen.begin(), F.Seen.begin() + G.slotTableSize(), 0);
+  F.Frontier.clear();
+  for (size_t K = 0; K != Count; ++K) {
+    uint32_t Src = Sources[K];
+    F.Seen[Src] = F.Visit[Src] = uint64_t(1) << K;
+    F.Frontier.push_back(Src);
+  }
+  uint64_t Levels = 0;
+  while (true) {
+    F.NextFrontier.clear();
+    for (uint32_t V : F.Frontier) {
+      uint64_t Bits = F.Visit[V];
+      F.Visit[V] = 0;
+      for (ProcessId Nbr : G.slotNeighbors(V)) {
+        uint32_t W = G.slotOf(Nbr);
+        uint64_t New = Bits & ~F.Seen[W];
+        if (New == 0)
+          continue;
+        if (F.Next[W] == 0)
+          F.NextFrontier.push_back(W);
+        F.Next[W] |= New;
+        F.Seen[W] |= New;
+      }
+    }
+    if (F.NextFrontier.empty())
+      return Levels;
+    ++Levels;
+    std::swap(F.Visit, F.Next); // Visit was cleared slot by slot above.
+    std::swap(F.Frontier, F.NextFrontier);
+  }
+}
+
 } // namespace
 
 std::map<ProcessId, uint64_t> dyndist::bfsDistances(const Graph &G,
@@ -147,16 +208,40 @@ std::optional<uint64_t> dyndist::eccentricity(const Graph &G,
 }
 
 std::optional<uint64_t> dyndist::diameter(const Graph &G) {
-  if (G.nodeCount() == 0)
+  size_t N = G.nodeCount();
+  if (N == 0)
     return std::nullopt;
-  uint64_t Diam = 0;
-  for (ProcessId P : G.nodesView()) {
-    auto Ecc = eccentricity(G, P);
-    if (!Ecc)
-      return std::nullopt;
-    Diam = std::max(Diam, *Ecc);
+  BfsScratch &S = TLScratch;
+  if (bfsDense(G, G.nodesView().front(), S) != N)
+    return std::nullopt;
+
+  // Double sweep: a BFS from the last node discovered gives the first lower
+  // bound, and the middle of that longest shortest path is the iFUB root.
+  bfsDense(G, G.slotId(S.Order.back()), S);
+  uint32_t U = S.Order.back();
+  uint64_t Lb = S.Dist[U];
+  for (uint64_t Step = 0; Step != Lb / 2; ++Step)
+    U = S.Parent[U];
+  bfsDense(G, G.slotId(U), S);
+
+  // iFUB over U's levels, deepest first. Once every node at level > I has
+  // been folded into Lb, the diameter is at most max(Lb, 2I): two nodes at
+  // levels <= I are at most 2I apart through U. The fringe BFSes use their
+  // own scratch, so S.Order (U's levels in ascending order) stays intact.
+  FringeScratch &F = TLFringe;
+  F.begin(G);
+  size_t End = N;
+  for (uint64_t I = S.Dist[S.Order.back()]; Lb < 2 * I; --I) {
+    size_t Begin = End;
+    while (S.Dist[S.Order[Begin - 1]] == I)
+      --Begin;
+    for (size_t First = Begin; First < End; First += 64)
+      Lb = std::max(Lb, batchEccentricity(G, &S.Order[First],
+                                          std::min<size_t>(64, End - First),
+                                          F));
+    End = Begin;
   }
-  return Diam;
+  return Lb;
 }
 
 std::vector<ProcessId> dyndist::ballAround(const Graph &G, ProcessId Source,

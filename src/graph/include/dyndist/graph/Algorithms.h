@@ -9,7 +9,10 @@
 /// connected components, eccentricity, and exact diameter. The diameter is
 /// the load-bearing quantity of the paper's geographical dimension — the
 /// one-time query is solvable with TTL flooding exactly when a bound on it
-/// is known — so the experiment harnesses measure it exactly.
+/// is known — so the experiment harnesses measure it exactly, and the
+/// admissibility monitor samples it every few ticks of every run. It is
+/// computed by iFUB, which usually needs a handful of traversals instead of
+/// one per node.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,8 +44,14 @@ std::vector<std::vector<ProcessId>> connectedComponents(const Graph &G);
 /// unreachable) or Source is unknown.
 std::optional<uint64_t> eccentricity(const Graph &G, ProcessId Source);
 
-/// Exact diameter via all-sources BFS; nullopt when disconnected or empty.
-/// O(V * E) — fine at experiment scales (thousands of nodes).
+/// Exact diameter; nullopt when disconnected or empty. iFUB (Crescenzi et
+/// al., "On computing the diameter of real-world undirected graphs", TCS
+/// 2013): a double sweep gives a lower bound and a central root u, then the
+/// eccentricities of u's BFS levels are folded in deepest first until the
+/// lower bound reaches twice the next level's depth. Each level is
+/// processed 64 sources per bit-parallel BFS. Worst case O(V * (V + E)),
+/// as with all-sources BFS; on overlays and most real graphs it stops
+/// after the double sweep or a few fringe batches, O(V + E) each.
 std::optional<uint64_t> diameter(const Graph &G);
 
 /// Nodes within \p MaxHops of \p Source (Source included), ascending. This

@@ -14,6 +14,8 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <thread>
+#include <utility>
 
 using namespace dyndist;
 
@@ -93,6 +95,37 @@ TEST(Algorithms, DiameterKnownTopologies) {
   EXPECT_EQ(diameter(makeLine(6)).value(), 5u);
   EXPECT_EQ(diameter(makeComplete(5)).value(), 1u);
   EXPECT_EQ(diameter(makeTorus(4, 4)).value(), 4u);
+  EXPECT_EQ(diameter(makeLine(300)), 299u);
+
+  Graph One;
+  One.addNode(5);
+  EXPECT_EQ(diameter(One), 0u);
+
+  Graph Edge;
+  Edge.addNode(3);
+  Edge.addNode(9);
+  Edge.addEdge(3, 9);
+  EXPECT_EQ(diameter(Edge), 1u);
+
+  Graph Star;
+  Star.addNode(0);
+  for (ProcessId P = 1; P <= 130; ++P) {
+    Star.addNode(P);
+    Star.addEdge(0, P);
+  }
+  EXPECT_EQ(diameter(Star), 2u);
+
+  // A double star: leaf 0 on hub 1, hub 2 with leaves 3..132. The double
+  // sweep runs 0 -> 132 -> 0 and roots iFUB at hub 1, so the fringe is the
+  // 130 leaves at level 2: two full 64-source batches and a partial one.
+  Graph DoubleStar;
+  for (ProcessId P = 0; P <= 132; ++P)
+    DoubleStar.addNode(P);
+  DoubleStar.addEdge(0, 1);
+  DoubleStar.addEdge(1, 2);
+  for (ProcessId P = 3; P <= 132; ++P)
+    DoubleStar.addEdge(2, P);
+  EXPECT_EQ(diameter(DoubleStar), 3u);
 }
 
 TEST(Algorithms, DiameterDisconnectedIsNull) {
@@ -109,6 +142,182 @@ TEST(Algorithms, EmptyGraphEdgeCases) {
   EXPECT_FALSE(diameter(G).has_value());
   EXPECT_TRUE(connectedComponents(G).empty());
   EXPECT_TRUE(bfsDistances(G, 0).empty());
+}
+
+namespace {
+
+/// An undirected edge list over local indices 0..N-1.
+struct Shape {
+  size_t N = 0;
+  std::vector<std::pair<uint32_t, uint32_t>> Edges;
+};
+
+/// A random graph of 1..300 nodes from one of several families: trees,
+/// paths, cycles, thick chains, G(n,m) expanders, tori, lollipops and
+/// graphs with two components. Duplicate edges are dropped on install.
+Shape randomShape(Rng &R) {
+  Shape S;
+  S.N = 1 + R.nextBelow(300);
+  auto Link = [&](uint64_t A, uint64_t B) {
+    if (A != B)
+      S.Edges.emplace_back(static_cast<uint32_t>(A), static_cast<uint32_t>(B));
+  };
+  auto Tree = [&](size_t From, size_t To) {
+    for (size_t I = From + 1; I < To; ++I)
+      Link(I, From + R.nextBelow(I - From));
+  };
+  switch (R.nextBelow(8)) {
+  case 0:
+    Tree(0, S.N);
+    break;
+  case 1:
+  case 2: { // Path, or cycle.
+    for (size_t I = 1; I < S.N; ++I)
+      Link(I - 1, I);
+    if (S.N > 2 && R.nextBernoulli(0.5))
+      Link(S.N - 1, 0);
+    break;
+  }
+  case 3: // A chain with short chords: long diameter, several paths.
+    for (size_t I = 1; I < S.N; ++I) {
+      Link(I - 1, I);
+      if (I >= 3 && R.nextBernoulli(0.3))
+        Link(I, I - 2 - R.nextBelow(2));
+    }
+    break;
+  case 4: { // G(n,m), over a random tree half of the time.
+    if (R.nextBernoulli(0.5))
+      Tree(0, S.N);
+    uint64_t M = S.N * (1 + R.nextBelow(3));
+    for (uint64_t E = 0; E != M; ++E)
+      Link(R.nextBelow(S.N), R.nextBelow(S.N));
+    break;
+  }
+  case 5: { // Torus.
+    size_t W = 3 + R.nextBelow(15);
+    size_t H = std::max<size_t>(3, S.N / W);
+    S.N = W * H;
+    for (size_t Y = 0; Y != H; ++Y)
+      for (size_t X = 0; X != W; ++X) {
+        Link(Y * W + X, Y * W + (X + 1) % W);
+        Link(Y * W + X, ((Y + 1) % H) * W + X);
+      }
+    break;
+  }
+  case 6: { // Lollipop: a clique with a path tail.
+    size_t K = 1 + R.nextBelow(std::min<size_t>(S.N, 30));
+    for (size_t A = 0; A != K; ++A)
+      for (size_t B = A + 1; B != K; ++B)
+        Link(A, B);
+    for (size_t I = K; I < S.N; ++I)
+      Link(I - 1, I);
+    break;
+  }
+  default: { // Two components (the second possibly a single node).
+    size_t Cut = 1 + R.nextBelow(S.N);
+    Tree(0, Cut);
+    Tree(Cut, S.N);
+    if (Cut == S.N) // One component after all: add an isolated node.
+      ++S.N;
+    break;
+  }
+  }
+  return S;
+}
+
+/// Installs \p S into \p G under sparse, shuffled ids. Junk nodes are added
+/// and removed around the real ones, so the real nodes take recycled slots
+/// from the free list and the slot table has holes.
+void installShape(const Shape &S, Graph &G, Rng &R) {
+  uint64_t Stride = 1 + R.nextBelow(7);
+  std::vector<ProcessId> Ids(S.N);
+  for (size_t I = 0; I != S.N; ++I)
+    Ids[I] = I * Stride + R.nextBelow(Stride);
+  for (size_t I = S.N; I > 1; --I)
+    std::swap(Ids[I - 1], Ids[R.nextBelow(I)]);
+  ProcessId Junk = S.N * Stride;
+  size_t JunkCount = R.nextBelow(S.N / 2 + 2);
+  for (size_t J = 0; J != JunkCount; ++J) {
+    G.addNode(Junk + J);
+    if (J != 0)
+      G.addEdge(Junk + J, Junk + R.nextBelow(J));
+  }
+  for (size_t J = 0; J != JunkCount; ++J)
+    if (R.nextBernoulli(0.5))
+      G.removeNode(Junk + J);
+  for (size_t I = 0; I != S.N; ++I)
+    G.addNode(Ids[I]);
+  for (size_t J = 0; J != JunkCount; ++J)
+    G.removeNode(Junk + J);
+  for (auto [A, B] : S.Edges)
+    G.addEdge(Ids[A], Ids[B]);
+}
+
+/// The former diameter(): the largest eccentricity over every source.
+std::optional<uint64_t> allSourcesDiameter(const Graph &G) {
+  if (G.nodeCount() == 0)
+    return std::nullopt;
+  uint64_t Diam = 0;
+  for (ProcessId P : G.nodesView()) {
+    auto Ecc = eccentricity(G, P);
+    if (!Ecc)
+      return std::nullopt;
+    Diam = std::max(Diam, *Ecc);
+  }
+  return Diam;
+}
+
+} // namespace
+
+TEST(Algorithms, DiameterAgreesWithAllSourcesOracle) {
+  // Seeded differential check over 10^4 graphs; a failure names its seed,
+  // and randomShape(Rng(seed)) rebuilds the graph. Every third graph reuses
+  // one Graph object after clear().
+  Graph Reused;
+  size_t Disconnected = 0, Large = 0, LongDiameter = 0;
+  for (uint64_t Seed = 1; Seed <= 10000; ++Seed) {
+    Rng R(Seed);
+    Shape S = randomShape(R);
+    Graph Fresh;
+    Graph &G = Seed % 3 == 0 ? Reused : Fresh;
+    G.clear();
+    installShape(S, G, R);
+    ASSERT_TRUE(G.checkConsistency()) << "seed " << Seed;
+    auto Expected = allSourcesDiameter(G);
+    ASSERT_EQ(diameter(G), Expected)
+        << "seed " << Seed << " n=" << G.nodeCount()
+        << " edges=" << G.edgeCount();
+    Disconnected += !Expected;
+    Large += Expected && G.nodeCount() > 128;
+    LongDiameter += Expected && *Expected > 64;
+  }
+  // Every regime the algorithm distinguishes occurred.
+  EXPECT_GT(Disconnected, 500u);
+  EXPECT_GT(Large, 2000u);
+  EXPECT_GT(LongDiameter, 500u);
+}
+
+TEST(Algorithms, DiameterIsThreadSafe) {
+  // Four threads over disjoint graph sets at once must agree with the
+  // single-threaded results: the traversal scratch is per thread.
+  constexpr size_t Threads = 4, PerThread = 100;
+  std::vector<Graph> Graphs(Threads * PerThread);
+  std::vector<std::optional<uint64_t>> Serial;
+  for (size_t I = 0; I != Graphs.size(); ++I) {
+    Rng R(0xd1a7 + I);
+    installShape(randomShape(R), Graphs[I], R);
+    Serial.push_back(diameter(Graphs[I]));
+  }
+  std::vector<std::optional<uint64_t>> Parallel(Graphs.size());
+  std::vector<std::thread> Workers;
+  for (size_t T = 0; T != Threads; ++T)
+    Workers.emplace_back([&, T] {
+      for (size_t I = T * PerThread; I != (T + 1) * PerThread; ++I)
+        Parallel[I] = diameter(Graphs[I]);
+    });
+  for (std::thread &W : Workers)
+    W.join();
+  EXPECT_EQ(Parallel, Serial);
 }
 
 TEST(Algorithms, BallAroundMatchesTtlCoverage) {
